@@ -1,18 +1,12 @@
 #include "hfast/netsim/replay.hpp"
 
-#include <algorithm>
 #include <queue>
 
-#include "hfast/util/assert.hpp"
 #include "replay_detail.hpp"
 
 namespace hfast::netsim {
 
 namespace {
-
-using detail::ChannelFifo;
-using detail::RankState;
-using trace::EventKind;
 
 struct QueueEntry {
   double clock;
@@ -37,117 +31,38 @@ ReplayResult replay(const trace::Trace& trace, Network& net,
 ReplayResult replay(const trace::Trace& trace, Network& net,
                     std::span<const ChannelSeed> seeds,
                     const ReplayParams& params) {
-  HFAST_EXPECTS_MSG(trace.nranks() <= net.num_endpoints(),
-                    "network too small for the trace");
-  detail::validate_events(trace);
-  detail::validate_seeds(seeds, trace.nranks());
-  net.reset();
-  detail::prewarm_routes(trace, net);
-
-  // Per-rank op streams are zero-copy spans into the trace's sorted
-  // columns; the event loop below reads only the columns each event kind
-  // actually touches.
+  detail::ReplayState state = detail::prepare(trace, net, seeds);
   const int n = trace.nranks();
-  std::vector<RankState> ranks(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    ranks[static_cast<std::size_t>(r)].ops = trace.rank_events(r);
-  }
 
-  // FIFO per-channel arrival queues, flat-indexed receiver*n+sender so the
-  // hot send/recv paths are one array access instead of a map lookup. A
-  // channel's only possible waiter is its receiver, so `waiting` is a flat
-  // flag array over the same index.
-  const auto chan = [n](int receiver, int sender) -> std::size_t {
-    return static_cast<std::size_t>(receiver) * static_cast<std::size_t>(n) +
-           static_cast<std::size_t>(sender);
-  };
-  std::vector<ChannelFifo> channel(static_cast<std::size_t>(n) *
-                                   static_cast<std::size_t>(n));
-  std::vector<char> waiting(channel.size(), 0);
-  // Seeded arrivals precede every event-produced arrival on their channel.
-  for (const ChannelSeed& seed : seeds) {
-    ChannelFifo& q = channel[chan(seed.receiver, seed.sender)];
-    for (std::uint64_t k = 0; k < seed.count; ++k) q.push(0.0);
-  }
-
+  // One event per pop, ranks ordered by (clock, rank). A cross-rank send
+  // is transferred at once and may wake its receiver.
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
+  std::size_t finished = 0;
   for (int r = 0; r < n; ++r) {
-    if (!ranks[static_cast<std::size_t>(r)].ops.empty()) {
+    if (state.ranks[static_cast<std::size_t>(r)].ops.empty()) {
+      ++finished;
+    } else {
       pq.push({0.0, r});
     }
   }
 
-  ReplayResult result;
-  double sum_latency = 0.0;
-  double sum_hops = 0.0;
-  std::size_t finished = 0;
-  for (int r = 0; r < n; ++r) {
-    if (ranks[static_cast<std::size_t>(r)].ops.empty()) ++finished;
-  }
+  detail::MessageStats stats;
+  auto sink = [&](int src, int dst, std::uint64_t bytes, double /*issue*/,
+                  double start, std::size_t op) {
+    const double arrival = stats.transfer(net, src, dst, bytes, start);
+    if (state.deliver(dst, state.channels.slot(src, op), arrival)) {
+      pq.push({state.ranks[static_cast<std::size_t>(dst)].clock, dst});
+    }
+  };
 
   while (!pq.empty()) {
     const auto [clock, r] = pq.top();
     pq.pop();
-    RankState& rs = ranks[static_cast<std::size_t>(r)];
+    detail::RankState& rs = state.ranks[static_cast<std::size_t>(r)];
     if (rs.blocked || rs.pos >= rs.ops.size() || clock != rs.clock) {
       continue;  // stale queue entry
     }
-
-    switch (rs.ops.kind(rs.pos)) {
-      case EventKind::kSend: {
-        const trace::Rank peer = rs.ops.peer(rs.pos);
-        const std::uint64_t bytes = rs.ops.bytes(rs.pos);
-        rs.clock += params.send_overhead_s;
-        double arrival = rs.clock;
-        if (peer != r && peer >= 0) {
-          arrival = net.transfer(r, peer, bytes, rs.clock);
-          const double latency = arrival - rs.clock;
-          sum_latency += latency;
-          result.max_message_latency_s =
-              std::max(result.max_message_latency_s, latency);
-          const int hops = net.switch_hops(r, peer);
-          sum_hops += hops;
-          result.max_switch_hops = std::max(result.max_switch_hops, hops);
-          ++result.messages;
-          result.bytes += bytes;
-        }
-        const std::size_t c = chan(peer, r);
-        channel[c].push(arrival);
-        // Wake the receiver if it is blocked on this channel.
-        if (waiting[c]) {
-          waiting[c] = 0;
-          const int woken = peer;
-          ranks[static_cast<std::size_t>(woken)].blocked = false;
-          pq.push({ranks[static_cast<std::size_t>(woken)].clock, woken});
-        }
-        ++rs.pos;
-        break;
-      }
-      case EventKind::kRecv: {
-        // Our channel key is (dst_of_send, src_of_send) = (this rank's view).
-        ChannelFifo& q = channel[chan(r, rs.ops.peer(rs.pos))];
-        if (q.empty()) {
-          rs.blocked = true;
-          waiting[chan(r, rs.ops.peer(rs.pos))] = 1;
-          continue;  // re-queued on wake
-        }
-        const double arrival = q.pop();
-        if (arrival > rs.clock) {
-          rs.recv_wait += arrival - rs.clock;
-          rs.clock = arrival;
-        }
-        rs.clock += params.recv_overhead_s;
-        ++rs.pos;
-        break;
-      }
-      case EventKind::kCollective: {
-        rs.clock += params.send_overhead_s +
-                    detail::collective_cost(rs.ops.bytes(rs.pos), n, params);
-        ++rs.pos;
-        break;
-      }
-    }
-
+    detail::step_rank(rs, r, state.channels, params, n, sink);
     if (rs.pos >= rs.ops.size()) {
       ++finished;
     } else if (!rs.blocked) {
@@ -158,18 +73,7 @@ ReplayResult replay(const trace::Trace& trace, Network& net,
   if (finished != static_cast<std::size_t>(n)) {
     throw Error("replay: trace stalled — receive without a matching send");
   }
-  // Rank clocks are monotone, so the per-rank final clock is that rank's
-  // completion time; both finalizations run in rank order on both paths.
-  for (const RankState& rs : ranks) {
-    result.makespan_s = std::max(result.makespan_s, rs.clock);
-    result.total_recv_wait_s += rs.recv_wait;
-  }
-  if (result.messages > 0) {
-    result.avg_message_latency_s =
-        sum_latency / static_cast<double>(result.messages);
-    result.avg_switch_hops = sum_hops / static_cast<double>(result.messages);
-  }
-  return result;
+  return stats.finalize(state.ranks);
 }
 
 }  // namespace hfast::netsim

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -16,10 +15,6 @@
 namespace hfast::netsim {
 
 namespace {
-
-using detail::ChannelFifo;
-using detail::RankState;
-using trace::EventKind;
 
 /// One cross-rank message awaiting sequencing: the sender already advanced
 /// past it (its only local effect is the send overhead); the sequencer
@@ -51,7 +46,7 @@ struct PendingTransfer {
 /// A sequenced arrival headed back to the receiver's shard.
 struct Delivery {
   int receiver = -1;
-  int sender = -1;
+  std::uint32_t slot = detail::Channels::kNoSlot;
   double arrival = 0.0;
 };
 
@@ -146,131 +141,39 @@ class RoundGate {
   bool exit_ = false;
 };
 
-struct ChannelSlot {
-  ChannelFifo fifo;
-  bool waiting = false;  ///< the receiver is blocked on exactly this channel
+/// One shard: a rank range [first, last) of the global replay state and
+/// its deliveries. Only the shard's thread touches its ranks' channels.
+struct Shard {
+  int first = 0;
+  int last = 0;
+  std::vector<Delivery> inbox;
+  int finished = 0;
 };
 
-/// One shard: a contiguous rank range [first, last) with its rank states
-/// and receive channels. Channels are sparse maps keyed by sender — at
-/// P=4096 a flat P^2 table would dwarf the trace itself, and the paper's
-/// whole point is that each rank talks to a few dozen partners (TDC << P).
-class Shard {
- public:
-  void init(int first, int last) {
-    first_ = first;
-    ranks_.resize(static_cast<std::size_t>(last - first));
-    channels_.resize(ranks_.size());
+/// One round of `shard`: fold in its deliveries, then step every runnable
+/// rank until it blocks or finishes; cross-rank sends become submissions.
+template <typename Submit>
+void run_round(Shard& shard, detail::ReplayState& state, int nranks,
+               const ReplayParams& params, const Submit& submit) {
+  for (const Delivery& d : shard.inbox) {
+    (void)state.deliver(d.receiver, d.slot, d.arrival);
   }
+  shard.inbox.clear();
 
-  RankState& rank(int global) {
-    return ranks_[static_cast<std::size_t>(global - first_)];
-  }
-
-  /// Pre-round channel seeding: `count` arrivals at t = 0, ahead of any
-  /// arrival this replay produces — the serial path pushes its seeds
-  /// before the event loop, so FIFO order matches bit-for-bit.
-  void seed_channel(int receiver, int sender, std::uint64_t count) {
-    ChannelFifo& fifo = channel(receiver, sender).fifo;
-    for (std::uint64_t k = 0; k < count; ++k) fifo.push(0.0);
-  }
-  const std::vector<RankState>& ranks() const { return ranks_; }
-  std::vector<Delivery>& inbox() { return inbox_; }
-  int finished_ranks() const { return finished_; }
-
-  /// Run one round: fold in the deliveries the sequencer routed to us,
-  /// then advance every runnable rank until it blocks or finishes. Ranks
-  /// only interact through sequenced transfers, so a single in-order pass
-  /// reaches shard-wide quiescence.
-  template <typename Submit>
-  void run_round(int nranks, const ReplayParams& params,
-                 const Submit& submit) {
-    for (const Delivery& d : inbox_) {
-      ChannelSlot& slot = channel(d.receiver, d.sender);
-      slot.fifo.push(d.arrival);
-      if (slot.waiting) {
-        slot.waiting = false;
-        rank(d.receiver).blocked = false;
-      }
+  auto sink = [&submit](int src, int dst, std::uint64_t bytes, double issue,
+                        double start, std::size_t op) {
+    submit(PendingTransfer{issue, start, src, dst, bytes,
+                           static_cast<std::uint64_t>(op)});
+  };
+  shard.finished = 0;
+  for (int r = shard.first; r < shard.last; ++r) {
+    detail::RankState& rs = state.ranks[static_cast<std::size_t>(r)];
+    while (!rs.blocked && rs.pos < rs.ops.size()) {
+      detail::step_rank(rs, r, state.channels, params, nranks, sink);
     }
-    inbox_.clear();
-
-    finished_ = 0;
-    for (std::size_t i = 0; i < ranks_.size(); ++i) {
-      RankState& rs = ranks_[i];
-      if (!rs.blocked) {
-        run_rank(rs, first_ + static_cast<int>(i), nranks, params, submit);
-      }
-      if (rs.pos >= rs.ops.size()) ++finished_;
-    }
+    if (rs.pos >= rs.ops.size()) ++shard.finished;
   }
-
- private:
-  ChannelSlot& channel(int receiver, int sender) {
-    return channels_[static_cast<std::size_t>(receiver - first_)][sender];
-  }
-
-  /// Advance one rank to quiescence. Statement-for-statement the serial
-  /// replay's event handling, except that a cross-rank send submits a
-  /// PendingTransfer instead of touching the network: the sender's clock
-  /// never depends on its own transfer result, so it can run ahead.
-  /// `self` is the rank's global id — rs.ops is this rank's span of the
-  /// trace columns, so every event's rank column equals `self` and the
-  /// hot loop reads only the kind/peer/bytes columns it needs.
-  template <typename Submit>
-  void run_rank(RankState& rs, int self, int nranks,
-                const ReplayParams& params, const Submit& submit) {
-    while (rs.pos < rs.ops.size()) {
-      switch (rs.ops.kind(rs.pos)) {
-        case EventKind::kSend: {
-          const trace::Rank peer = rs.ops.peer(rs.pos);
-          const double issue = rs.clock;
-          rs.clock += params.send_overhead_s;
-          if (peer != self && peer >= 0) {
-            submit(PendingTransfer{issue, rs.clock, self, peer,
-                                   rs.ops.bytes(rs.pos),
-                                   static_cast<std::uint64_t>(rs.pos)});
-          } else {
-            // Self-send: arrival is the injection time, no network
-            // traversal, no message stats — exactly the serial path.
-            channel(self, self).fifo.push(rs.clock);
-          }
-          ++rs.pos;
-          break;
-        }
-        case EventKind::kRecv: {
-          ChannelSlot& slot = channel(self, rs.ops.peer(rs.pos));
-          if (slot.fifo.empty()) {
-            rs.blocked = true;
-            slot.waiting = true;
-            return;
-          }
-          const double arrival = slot.fifo.pop();
-          if (arrival > rs.clock) {
-            rs.recv_wait += arrival - rs.clock;
-            rs.clock = arrival;
-          }
-          rs.clock += params.recv_overhead_s;
-          ++rs.pos;
-          break;
-        }
-        case EventKind::kCollective: {
-          rs.clock += params.send_overhead_s +
-                      detail::collective_cost(rs.ops.bytes(rs.pos), nranks,
-                                              params);
-          ++rs.pos;
-          break;
-        }
-      }
-    }
-  }
-
-  int first_ = 0;
-  std::vector<RankState> ranks_;
-  std::vector<std::map<int, ChannelSlot>> channels_;
-  std::vector<Delivery> inbox_;
-  int finished_ = 0;
-};
+}
 
 }  // namespace
 
@@ -285,14 +188,10 @@ ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
                              std::span<const ChannelSeed> seeds,
                              const ReplayParams& params,
                              const ParallelReplayOptions& options) {
-  HFAST_EXPECTS_MSG(trace.nranks() <= net.num_endpoints(),
-                    "network too small for the trace");
   HFAST_EXPECTS_MSG(options.shards >= 0,
                     "parallel_replay: negative shard count");
   HFAST_EXPECTS_MSG(options.channel_capacity > 0,
                     "parallel_replay: channel capacity must be positive");
-  detail::validate_events(trace);
-  detail::validate_seeds(seeds, trace.nranks());
 
   // Conservative lookahead: a transfer injected at t cannot deliver before
   // t + min link latency, and the woken receiver cannot inject a new
@@ -304,9 +203,7 @@ ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
       net.min_transfer_latency_s() + params.send_overhead_s;
   if (lookahead <= 0.0) return replay(trace, net, seeds, params);
 
-  net.reset();
-  detail::prewarm_routes(trace, net);
-
+  detail::ReplayState state = detail::prepare(trace, net, seeds);
   const int n = trace.nranks();
   int nshards = options.shards;
   if (nshards == 0) {
@@ -317,25 +214,13 @@ ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
   std::vector<Shard> shards(static_cast<std::size_t>(nshards));
   std::vector<int> shard_of(static_cast<std::size_t>(n));
   for (int s = 0; s < nshards; ++s) {
-    const int first = static_cast<int>(static_cast<long long>(s) * n / nshards);
-    const int last =
+    Shard& shard = shards[static_cast<std::size_t>(s)];
+    shard.first = static_cast<int>(static_cast<long long>(s) * n / nshards);
+    shard.last =
         static_cast<int>(static_cast<long long>(s + 1) * n / nshards);
-    shards[static_cast<std::size_t>(s)].init(first, last);
-    for (int r = first; r < last; ++r) {
+    for (int r = shard.first; r < shard.last; ++r) {
       shard_of[static_cast<std::size_t>(r)] = s;
     }
-  }
-  // Zero-copy partition: each rank's op stream is a span into the trace's
-  // sorted columns, handed to its shard via the per-rank offset index.
-  for (int r = 0; r < n; ++r) {
-    shards[static_cast<std::size_t>(shard_of[static_cast<std::size_t>(r)])]
-        .rank(r)
-        .ops = trace.rank_events(r);
-  }
-  for (const ChannelSeed& seed : seeds) {
-    shards[static_cast<std::size_t>(
-               shard_of[static_cast<std::size_t>(seed.receiver)])]
-        .seed_channel(seed.receiver, seed.sender, seed.count);
   }
 
   // Shard 0 runs on this thread, interleaved with sequencing; its
@@ -354,12 +239,12 @@ ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
     Shard& shard = shards[static_cast<std::size_t>(s)];
     TransferQueue& queue = *queues[static_cast<std::size_t>(s - 1)];
     std::exception_ptr& error = worker_errors[static_cast<std::size_t>(s - 1)];
-    workers.emplace_back([&shard, &queue, &gate, &error, n, &params] {
+    workers.emplace_back([&shard, &state, &queue, &gate, &error, n, &params] {
       std::uint64_t seen = 0;
       try {
         for (;;) {
-          shard.run_round(n, params,
-                          [&queue](const PendingTransfer& t) { queue.push(t); });
+          run_round(shard, state, n, params,
+                    [&queue](const PendingTransfer& t) { queue.push(t); });
           queue.producer_done();
           if (!gate.await(seen)) return;
         }
@@ -373,38 +258,20 @@ ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
     });
   }
 
-  ReplayResult result;
-  double sum_latency = 0.0;
-  double sum_hops = 0.0;
+  detail::MessageStats stats;
   std::vector<PendingTransfer> withheld;  // sorted, beyond past windows
   std::vector<PendingTransfer> pending;
   std::vector<PendingTransfer> merged;
   bool stalled = false;
   std::exception_ptr failure;
 
-  const auto apply_transfer = [&](const PendingTransfer& t) {
-    // Mirrors the serial send path bit for bit: same transfer call, same
-    // stat statements, applied in the same global order.
-    const double arrival = net.transfer(t.src, t.dst, t.bytes, t.start);
-    const double latency = arrival - t.start;
-    sum_latency += latency;
-    result.max_message_latency_s =
-        std::max(result.max_message_latency_s, latency);
-    const int hops = net.switch_hops(t.src, t.dst);
-    sum_hops += hops;
-    result.max_switch_hops = std::max(result.max_switch_hops, hops);
-    ++result.messages;
-    result.bytes += t.bytes;
-    return arrival;
-  };
-
   for (;;) {
     // Run our own shard to quiescence, then collect every other shard's
     // submissions. Draining while workers still run is what makes the
     // bounded queues deadlock-free.
     pending.clear();
-    shards[0].run_round(
-        n, params, [&pending](const PendingTransfer& t) { pending.push_back(t); });
+    run_round(shards[0], state, n, params,
+              [&pending](const PendingTransfer& t) { pending.push_back(t); });
     for (auto& q : queues) {
       while (q->drain(pending)) {
       }
@@ -422,7 +289,7 @@ ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
     withheld.swap(merged);
 
     int finished = 0;
-    for (const Shard& s : shards) finished += s.finished_ranks();
+    for (const Shard& s : shards) finished += s.finished;
     if (finished == n) break;  // remaining withheld transfers flush below
     if (withheld.empty()) {
       stalled = true;
@@ -437,11 +304,12 @@ ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
     std::size_t applied = 0;
     while (applied < withheld.size() && withheld[applied].start < window_end) {
       const PendingTransfer& t = withheld[applied];
-      const double arrival = apply_transfer(t);
+      const double arrival =
+          stats.transfer(net, t.src, t.dst, t.bytes, t.start);
       shards[static_cast<std::size_t>(
                  shard_of[static_cast<std::size_t>(t.dst)])]
-          .inbox()
-          .push_back({t.dst, t.src, arrival});
+          .inbox.push_back(
+              {t.dst, state.channels.slot(t.src, t.seq), arrival});
       ++applied;
     }
     withheld.erase(withheld.begin(),
@@ -461,20 +329,10 @@ ReplayResult parallel_replay(const trace::Trace& trace, Network& net,
   // Unmatched sends: every rank finished but their transfers still owe the
   // network (and the stats) their traversal, just as in the serial replay.
   // No rank is left to wake, so deliveries are dropped.
-  for (const PendingTransfer& t : withheld) (void)apply_transfer(t);
-
-  for (const Shard& s : shards) {
-    for (const RankState& rs : s.ranks()) {
-      result.makespan_s = std::max(result.makespan_s, rs.clock);
-      result.total_recv_wait_s += rs.recv_wait;
-    }
+  for (const PendingTransfer& t : withheld) {
+    (void)stats.transfer(net, t.src, t.dst, t.bytes, t.start);
   }
-  if (result.messages > 0) {
-    result.avg_message_latency_s =
-        sum_latency / static_cast<double>(result.messages);
-    result.avg_switch_hops = sum_hops / static_cast<double>(result.messages);
-  }
-  return result;
+  return stats.finalize(state.ranks);
 }
 
 }  // namespace hfast::netsim

@@ -218,6 +218,64 @@ TEST(ParallelReplay, UnmatchedSendsStillCountedLikeSerial) {
   DirectNetwork net(fcn, link);
   const auto parallel = parallel_replay(t, net, {}, {.shards = 2});
   expect_identical(serial, parallel, "unmatched send");
+
+  // Arrivals no receive ever reads: a seed on the (0 -> 1) pair and a
+  // self-send on rank 3. Neither touches the network, so the message
+  // count stays at the two cross-rank sends.
+  const auto t2 = make_trace(4, {send(0, 3, 512), send(1, 2, 256),
+                                 recv(2, 1, 256), send(3, 3, 128)});
+  const std::vector<ChannelSeed> seeds = {
+      {.receiver = 1, .sender = 0, .count = 2}};
+  DirectNetwork serial_net2(fcn, link);
+  const auto serial2 = replay(t2, serial_net2, seeds);
+  EXPECT_EQ(serial2.messages, 2u);
+  EXPECT_EQ(serial2.bytes, serial.bytes);
+  for (const int shards : {2, 4}) {
+    DirectNetwork net2(fcn, link);
+    const auto parallel2 =
+        parallel_replay(t2, net2, seeds, {}, {.shards = shards});
+    expect_identical(serial2, parallel2,
+                     "unread seed + self-send shards=" +
+                         std::to_string(shards));
+  }
+}
+
+/// A network with `endpoints` endpoints and no links: every transfer takes
+/// a fixed latency plus serialization, one switch hop. Cheap to build at
+/// any width, so a test can size the rank space without sizing a topology.
+class StubNetwork final : public Network {
+ public:
+  explicit StubNetwork(int endpoints) : endpoints_(endpoints) {}
+  std::string name() const override { return "stub"; }
+  int num_endpoints() const override { return endpoints_; }
+  double transfer(int, int, std::uint64_t bytes, double start) override {
+    return start + kLatency + static_cast<double>(bytes) / 1e9;
+  }
+  void reset() override {}
+  int switch_hops(int, int) const override { return 1; }
+  double min_transfer_latency_s() const override { return kLatency; }
+
+ private:
+  static constexpr double kLatency = 1e-6;
+  int endpoints_;
+};
+
+TEST(ParallelReplay, ChannelMemoryIsPerPairNotPerRankSquared) {
+  // 65536 ranks, four of which exchange a dozen events. A channel store
+  // sized P x P would need 2^32 slots (over 100 GB); the per-pair store
+  // holds the three pairs the receives read.
+  constexpr int kRanks = 65536;
+  const auto t = make_trace(
+      kRanks, {send(0, 1, 64), send(0, 2, 128), recv(1, 0, 64),
+               send(1, 3, 256), recv(2, 0, 128), send(2, 3, 512),
+               recv(3, 1, 256), recv(3, 2, 512), send(3, 0, 32),
+               recv(0, 3, 32), send(1, 1, 16), recv(1, 1, 16)});
+  StubNetwork serial_net(kRanks);
+  const auto serial = replay(t, serial_net);
+  EXPECT_EQ(serial.messages, 5u);
+  StubNetwork net(kRanks);
+  const auto parallel = parallel_replay(t, net, {}, {.shards = 2});
+  expect_identical(serial, parallel, "P=65536 shards=2");
 }
 
 TEST(ParallelReplay, StalledTraceThrows) {
