@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "hfast/util/assert.hpp"
 
 #include "hfast/analysis/experiment.hpp"
@@ -89,8 +92,11 @@ INSTANTIATE_TEST_SUITE_P(P, GtcSweep, ::testing::Values(16, 32, 64, 128));
 // Collective-plumbing conservation: whatever the kernel, no unmatched
 // messages remain (the runtime's leak check throws otherwise) and the
 // steady profile is nonempty.
+// The app name is a std::string, not a const char*, because gtest prints a
+// pointer parameter with its address, which would make the listed test
+// name differ from run to run.
 class AllAppsSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 TEST_P(AllAppsSweep, RunsCleanAndProfiles) {
   const auto [name, p] = GetParam();
   const auto r = run_experiment(name, p);
@@ -103,11 +109,14 @@ TEST_P(AllAppsSweep, RunsCleanAndProfiles) {
 }
 INSTANTIATE_TEST_SUITE_P(
     Matrix, AllAppsSweep,
-    ::testing::Values(std::tuple{"cactus", 36}, std::tuple{"lbmhd", 49},
-                      std::tuple{"gtc", 32}, std::tuple{"superlu", 25},
-                      std::tuple{"pmemd", 24}, std::tuple{"paratec", 24}),
+    ::testing::Values(std::tuple<std::string, int>{"cactus", 36},
+                      std::tuple<std::string, int>{"lbmhd", 49},
+                      std::tuple<std::string, int>{"gtc", 32},
+                      std::tuple<std::string, int>{"superlu", 25},
+                      std::tuple<std::string, int>{"pmemd", 24},
+                      std::tuple<std::string, int>{"paratec", 24}),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 
